@@ -418,7 +418,9 @@ def _replay_trace_file(args) -> int:
     """Replay a raw ``.wtrace`` file (``replay --trace FILE``).
 
     The protocol comes from the trace meta; an unregistered key is an
-    operational error (exit 2) listing the registered protocols.
+    operational error (exit 2) listing the registered protocols.  The
+    machine is the recorded one unless ``--machine`` is given; a preset
+    with fewer hardware threads than the recording is also an exit 2.
     """
     from repro.common.errors import ConfigError
     from repro.replay import replay_trace
@@ -437,7 +439,8 @@ def _replay_trace_file(args) -> int:
         raise ConfigError(
             f"{args.trace!r} is not a valid .wtrace file: {exc}"
         ) from None
-    result = replay_trace(trace, obs_sink=_ReplayProgress())
+    config = _machine_config(args) if args.machine is not None else None
+    result = replay_trace(trace, config, obs_sink=_ReplayProgress())
     s = result.stats
     print(f"trace     : {args.trace} ({len(trace)} events)")
     print(f"benchmark : {result.benchmark}")
@@ -461,7 +464,7 @@ def cmd_replay(args) -> int:
         raise ConfigError(
             "no workload given: pass a benchmark name or --trace FILE"
         )
-    config = _machine_config(args)
+    config = MACHINES[args.machine or "dual"]()
     result = replay_benchmark(
         args.benchmark,
         args.protocol,
@@ -850,8 +853,12 @@ def build_parser() -> argparse.ArgumentParser:
                           f"{DEFAULT_CACHE_DIR}/traces)")
     prp.add_argument("--trace", default=None, metavar="FILE",
                      help="replay a raw .wtrace file instead of a named "
-                          "benchmark (protocol comes from the trace meta)")
-    prp.set_defaults(func=cmd_replay)
+                          "benchmark (protocol and, without --machine, the "
+                          "machine come from the trace meta; another "
+                          "machine gives an approximation and needs at "
+                          "least the recorded thread count)")
+    # --machine left unset means "the recorded machine" for --trace
+    prp.set_defaults(func=cmd_replay, machine=None)
 
     pv = sub.add_parser(
         "verify",

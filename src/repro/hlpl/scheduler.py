@@ -7,7 +7,12 @@ so scheduling itself generates realistic coherence traffic — identically for
 MESI and WARDen, since runtime metadata is never inside a WARD region.
 
 Idle workers spin with exponential backoff (busy-wait synchronization, as in
-the PBBS suite — see the paper's Fig. 11 discussion of ray).
+the PBBS suite — see the paper's Fig. 11 discussion of ray).  Once a spin
+loop has settled (backoff capped, nothing ready anywhere, both spin words
+private L1 hits) every further spin is identical, so :meth:`on_idle`
+reports the worker quiescent and the engine fast-forwards its spins in
+closed form (:meth:`WorkStealingScheduler.catch_up`) until the next
+:meth:`push` or the end of the run; see ``repro.sim.engine``.
 """
 
 from __future__ import annotations
@@ -64,6 +69,16 @@ class WorkStealingScheduler:
         self._tracer = machine.tracer
         self._nthreads = nthreads
         config = machine.config
+        self._engine = rt.engine
+        self._l1_latency = config.l1.latency
+        #: idle workers may sleep (leave the engine heap) only when their
+        #: spins are fast-path private hits no SMT sibling can reorder
+        self._may_sleep = self._fast_touch and config.threads_per_core == 1
+        #: cycles of one settled spin: two L1-hit loads plus capped backoff
+        self._spin_cycles = 2 * config.l1.latency + BACKOFF_MAX
+        #: per thread, how many of its two spin blocks are in a WARD state
+        #: (each settled spin adds that many ``ward_accesses``)
+        self._spin_ward = [0] * nthreads
         self._per_socket = config.cores_per_socket * config.threads_per_core
         self._num_sockets = config.num_sockets
         # Deterministic per-worker victim choice (xorshift-style LCG),
@@ -97,10 +112,15 @@ class WorkStealingScheduler:
             local += 1
         return local
 
-    def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> None:
+    def _touch(self, thread: int, addr: int, atype, spin: bool = False) -> int:
+        """Charge one deque/flag access to ``thread``.
+
+        Returns the latency when the access resolved on the epoch fast
+        path (a private hit), else 0.
+        """
         if not self.model_traffic:
             self._cores[thread].advance(4)
-            return
+            return 0
         # Deque words and spin flags are overwhelmingly private hits, so
         # take the epoch fast path (identical statistical effects) when the
         # tracer doesn't need per-access events; atomics always fall
@@ -113,12 +133,20 @@ class WorkStealingScheduler:
                     cm.load(latency, spin=spin)
                 else:
                     cm.store(latency)
-                return
+                return latency
         self._machine.access(thread, addr, 8, atype, spin=spin)
+        return 0
 
     # ------------------------------------------------------------------
     def push(self, thread: int, strand) -> None:
-        """Owner pushes a ready strand at the bottom of its own deque."""
+        """Owner pushes a ready strand at the bottom of its own deque.
+
+        Sleeping idle workers are caught up first: from this step on their
+        spins would see the new strand.
+        """
+        engine = self._engine
+        if engine.sleepers:
+            engine.wake_sleepers()
         strand.ready_clock = self._cores[thread].clock
         self.deques[thread].append(strand)
         self.total_ready += 1
@@ -132,19 +160,26 @@ class WorkStealingScheduler:
         # signalled through ``finished``.
         return not self.finished
 
-    def on_idle(self, worker) -> None:
+    def on_idle(self, worker) -> bool:
+        """One idle step: pop, steal or spin.
+
+        Returns True when the step was a spin that left the worker
+        quiescent — every further spin until the next :meth:`push` is then
+        identical, and the engine may fast-forward them with
+        :meth:`catch_up`.
+        """
         thread = worker.thread
         core = self._cores[thread]
 
         # 1. Own deque: pop the newest task (bottom).
-        self._touch(thread, self.bottom_addr[thread], _LOAD)
+        bottom_latency = self._touch(thread, self.bottom_addr[thread], _LOAD)
         own = self.deques[thread]
         if own:
             strand = own.pop()
             self.total_ready -= 1
             self._touch(thread, self.bottom_addr[thread], _STORE)
             self._assign(worker, strand)
-            return
+            return False
 
         # 2. Steal attempt: probe one random victim (standard work stealing
         #    probes a single victim per attempt, then backs off briefly).
@@ -162,17 +197,72 @@ class WorkStealingScheduler:
                 if tracer.enabled:
                     tracer.steal(core.clock, thread, victim, True)
                 self._assign(worker, strand)
-                return
+                return False
             if tracer.enabled:
                 tracer.steal(core.clock, thread, victim, False)
             core.advance(BACKOFF_MIN)  # brief pause before the next probe
-            return
+            return False
 
-        # 3. Nothing to do: spin on a local flag with exponential backoff.
-        self._touch(thread, self.flag_addr[thread], _LOAD, spin=True)
+        # 3. Nothing to do (total_ready == 0): spin on a local flag with
+        #    exponential backoff.
+        flag_latency = self._touch(
+            thread, self.flag_addr[thread], _LOAD, spin=True
+        )
         backoff = self._backoff
         core.advance(backoff[thread])
-        backoff[thread] = min(backoff[thread] * 2, BACKOFF_MAX)
+        backoff[thread] = nxt = min(backoff[thread] * 2, BACKOFF_MAX)
+        l1_latency = self._l1_latency
+        if (
+            nxt == BACKOFF_MAX
+            and bottom_latency == l1_latency
+            and flag_latency == l1_latency
+            and self._may_sleep
+        ):
+            # Both spin words were L1 hits, so both blocks stay valid in
+            # this L1: only this thread ever touches them.
+            self._spin_ward[thread] = self._ward_blocks(thread)
+            return True
+        return False
+
+    def _ward_blocks(self, thread: int) -> int:
+        """How many of ``thread``'s two spin blocks sit in a WARD state."""
+        protocol = self._machine.protocol
+        l1 = protocol.l1[self._core_of[thread]]
+        ward_states = protocol._ward_states
+        return sum(
+            l1.peek(addr).state in ward_states
+            for addr in (self.bottom_addr[thread], self.flag_addr[thread])
+        )
+
+    def catch_up(self, thread: int, clock: int, key_thread: int) -> None:
+        """Retire, in closed form, a quiescent worker's pending spins.
+
+        The worker retires exactly the spins the per-op engine would pop
+        before the step keyed ``(clock, key_thread)``: the heap orders the
+        spin starting at ``c`` first iff ``c < clock``, or ``c == clock``
+        and ``thread < key_thread``.  Each spin adds what :meth:`on_idle`
+        would: two L1-hit loads (one a spin load) and ``_spin_cycles``.
+        """
+        core = self._cores[thread]
+        lag = clock - core.clock
+        period = self._spin_cycles
+        if thread < key_thread:
+            if lag < 0:
+                return
+            spins = lag // period + 1
+        else:
+            if lag <= 0:
+                return
+            spins = -(-lag // period)
+        core.clock += spins * period
+        cstats = core.stats
+        cstats.loads += 2 * spins
+        cstats.spin_loads += spins
+        protocol = self._machine.protocol
+        protocol.l1[self._core_of[thread]].hits += 2 * spins
+        pstats = protocol.stats
+        pstats.total_accesses += 2 * spins
+        pstats.ward_accesses += self._spin_ward[thread] * spins
 
     # ------------------------------------------------------------------
     def _assign(self, worker, strand) -> None:

@@ -33,7 +33,9 @@ replay-identity tests then pin the rest bit-for-bit.
 Replaying under a *different* config than the recorded one is a
 trace-driven approximation: the instruction stream is the recorded one,
 only the memory system's response changes.  Useful for memory-hierarchy
-sweeps; never fed into the exact-result caches.
+sweeps; never fed into the exact-result caches.  The target machine needs at
+least the recorded number of hardware threads (:class:`ConfigError`
+otherwise).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from collections import Counter, deque
 from typing import List, Optional
 
 from repro.common.config import MachineConfig
-from repro.common.errors import UnknownProtocolError
+from repro.common.errors import ConfigError, UnknownProtocolError
 from repro.common.stats import CoreStats, RunStats
 from repro.common.types import MessageType
 from repro.coherence.mesi import MESIProtocol, llc_config
@@ -182,9 +184,16 @@ class ReplayKernel:
     def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
         self.trace = trace
         meta = trace.meta
-        self.config = (
-            config if config is not None else config_from_dict(meta["config"])
-        )
+        recorded = config_from_dict(meta["config"])
+        if config is not None and config.num_threads < recorded.num_threads:
+            # The trace names every recorded thread; a smaller machine has
+            # no core to replay the extra threads on.
+            raise ConfigError(
+                f"cannot replay a {recorded.num_threads}-thread recording "
+                f"on {config.name!r} with {config.num_threads} hardware "
+                "threads"
+            )
+        self.config = config if config is not None else recorded
         # dispatch mode from the recorded registry key; traces predating the
         # key fall back on the supports_ward flag (mesi/warden era)
         key = meta.get("protocol")

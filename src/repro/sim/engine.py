@@ -38,6 +38,40 @@ path runs once in full, then the run ends and the worker re-enters the
 heap.  The fast path is bypassed entirely while a tracer sink is installed
 (per-op event visibility); access hooks are invoked per element inside the
 run, preserving checker semantics.
+
+Sleeping idle workers
+---------------------
+
+The runtime busy-waits, so most idle pops are spins that change nothing
+another worker can observe.  In the epoch-batched mode the scheduler's
+``on_idle`` returns True once a worker is *quiescent*: its deque is empty,
+no strand is ready anywhere (``total_ready == 0``), the run is not
+finished, its backoff is capped at ``BACKOFF_MAX``, and its last spin
+resolved both its deque-bottom word and its spin flag as private L1 hits.
+The engine then takes the worker out of the min-clock heap.  From there on
+every spin it would retire is the same: two L1-hit loads (one a spin load)
+and ``2 * l1_latency + BACKOFF_MAX`` cycles.  Only the owning thread ever
+touches those two blocks and nothing else reads its clock, so the skipped
+spins commute with every other worker's ops — until the next
+``scheduler.push`` (a spin would then find work) or the root's completion
+(the run ends).
+
+At either event the engine catches every sleeper up to the *start key* of
+the current step, ``(clock before gen.send, thread)``: the sleeper retires,
+in closed form (``scheduler.catch_up``), exactly the spins whose own keys
+``(clock, sleeper thread)`` order before that key under the heap's
+tie-break, and re-enters the heap.  RunStats stay bit-identical.
+``scheduler.push`` performs the wake itself, so no push can run while
+sleepers are pending.  If the heap empties while workers sleep and the
+run is not finished, the run is deadlocked and raises
+:class:`SimulationError` instead of spinning forever.
+
+Sleeping is off whenever the idle spins would not commute or the skipped
+work must stay visible: with a tracer sink installed, under
+``REPRO_EPOCH_BATCH=0``, on a recording machine (``record_per_op``), with
+the scheduler's ``model_traffic=False``, and with ``threads_per_core > 1``
+(SMT siblings share an L1, so a sibling's accesses can evict the
+sleeper's spin blocks).
 """
 
 from __future__ import annotations
@@ -64,6 +98,9 @@ from repro.sim.ops import (
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
 _RMW = AccessType.RMW
+
+#: heap-head stand-in when no other worker is in the heap
+_NO_RIVAL = (float("inf"), -1)
 
 #: micro-op stages of one batch element (compute-before / access / compute-after)
 _STAGE_PRE = 0
@@ -161,6 +198,13 @@ class Engine:
             os.environ.get("REPRO_EPOCH_BATCH", "1") != "0"
             and not getattr(machine, "record_per_op", False)
         )
+        #: clock of ``current_worker`` before its op being retired was
+        #: fetched (gen.send); with its thread, the step's start key
+        self.step_clock = 0
+        #: quiescent idle workers currently out of the heap (see
+        #: "Sleeping idle workers" above); woken by :meth:`wake_sleepers`
+        self.sleepers: list = []
+        self._heap: list = []
 
     # ------------------------------------------------------------------
     def pin(self, thread: int, gen, on_done: Optional[Callable] = None) -> Strand:
@@ -196,16 +240,21 @@ class Engine:
         else:
             heap = [(machine_cores[w.thread].clock, w.thread) for w in workers]
         heapify(heap)
+        self._heap = heap
+        sleepers = self.sleepers
         #: idle workers the scheduler had no work for; re-armed on progress
         parked = []
         while True:
             if scheduler is not None and scheduler.finished:
+                if sleepers:
+                    self.wake_sleepers()
                 return
             if not heap:
                 if scheduler is None:
                     return  # pinned mode: everything ran to completion
                 raise SimulationError(
-                    "deadlock: scheduler not finished but no worker is runnable"
+                    "deadlock: scheduler not finished but no worker is "
+                    f"runnable ({len(sleepers)} idle workers asleep)"
                 )
             entry = heappop(heap)
             clock, thread = entry
@@ -214,40 +263,37 @@ class Engine:
                 heappush(heap, (core.clock, thread))  # stale: repair
                 continue
             worker = workers[thread]
+            quiet = False
             if worker.strand is None:
                 if scheduler is None:
                     continue  # pinned strand finished: retire the worker
                 if not scheduler.has_work_for(worker):
                     parked.append(entry)
                     continue
-                scheduler.on_idle(worker)
                 if epoch_batch and not tracer.enabled:
+                    quiet = scheduler.on_idle(worker)
                     # Idle-spin epoch: while this worker stays strictly
                     # min-clock (same tie-break as the heap pop) and found
                     # no work, the per-op engine would pop it straight back
                     # — so keep spinning it without re-touching the heap.
                     # on_idle only advances this worker's own clock, so the
                     # schedule (and every spin access) is bit-identical.
-                    if heap:
-                        next_clock, next_thread = heap[0]
-                        while (
-                            worker.strand is None
-                            and not scheduler.finished
-                            and (
-                                core.clock < next_clock
-                                or (core.clock == next_clock
-                                    and thread < next_thread)
-                            )
-                            and scheduler.has_work_for(worker)
-                        ):
-                            scheduler.on_idle(worker)
-                    else:
-                        while (
-                            worker.strand is None
-                            and not scheduler.finished
-                            and scheduler.has_work_for(worker)
-                        ):
-                            scheduler.on_idle(worker)
+                    # Once it reports the worker quiescent, it sleeps.
+                    next_clock, next_thread = heap[0] if heap else _NO_RIVAL
+                    while (
+                        not quiet
+                        and worker.strand is None
+                        and not scheduler.finished
+                        and (
+                            core.clock < next_clock
+                            or (core.clock == next_clock
+                                and thread < next_thread)
+                        )
+                        and scheduler.has_work_for(worker)
+                    ):
+                        quiet = scheduler.on_idle(worker)
+                else:
+                    scheduler.on_idle(worker)  # per-op: every spin retires
             elif epoch_batch and not tracer.enabled:
                 if heap:
                     next_clock, next_thread = heap[0]
@@ -256,12 +302,37 @@ class Engine:
                 retire_run(worker, next_clock, next_thread)
             else:
                 step(worker)
-            heappush(heap, (core.clock, thread))
+            if quiet:
+                sleepers.append(worker)
+            else:
+                heappush(heap, (core.clock, thread))
             if parked:
                 # Progress was made; parked workers may have work again.
                 for stale in parked:
                     heappush(heap, stale)
                 parked.clear()
+
+    def wake_sleepers(self) -> None:
+        """Catch every sleeping idle worker up and return it to the heap.
+
+        Called at a push and at the root's completion; ``current_worker``
+        and ``step_clock`` then key the step that pushed or finished the
+        root.  Each sleeper
+        retires, in closed form, the spins the per-op engine would have
+        popped before that step, and re-enters the heap at its new clock —
+        ordered after the current step, exactly as those spins would be.
+        """
+        sleepers = self.sleepers
+        key_clock = self.step_clock
+        key_thread = self.current_worker.thread
+        catch_up = self.scheduler.catch_up
+        cores = self.machine.cores
+        heap = self._heap
+        for worker in sleepers:
+            thread = worker.thread
+            catch_up(thread, key_clock, key_thread)
+            heappush(heap, (cores[thread].clock, thread))
+        sleepers.clear()
 
     # ------------------------------------------------------------------
     def _finish_strand(self, worker: Worker, strand: Strand, stop) -> None:
@@ -444,16 +515,18 @@ class Engine:
         if cursor is not None:
             self._batch_micro(worker, strand, cursor, False)
             return
+        thread = worker.thread
+        machine = self.machine
+        start = machine.cores[thread].clock
         try:
             op = strand.gen.send(strand.resume_value)
         except StopIteration as stop:
+            self.step_clock = start
             self._finish_strand(worker, strand, stop)
             return
         strand.resume_value = None
 
         cls = op.__class__
-        thread = worker.thread
-        machine = self.machine
         access_hook = self.access_hook
         if cls is ComputeOp:
             machine.compute(thread, op.instrs)
@@ -487,6 +560,7 @@ class Engine:
         elif cls is ForkOp:
             if self.fork_handler is None:
                 raise SimulationError("ForkOp yielded but no fork handler installed")
+            self.step_clock = start
             self.fork_handler(worker, op)
         else:
             raise SimulationError(f"unknown operation {op!r}")
@@ -525,9 +599,11 @@ class Engine:
                 if not self._batch_micro(worker, strand, cursor, True):
                     return
             else:
+                start = core.clock
                 try:
                     op = strand.gen.send(strand.resume_value)
                 except StopIteration as stop:
+                    self.step_clock = start
                     self._finish_strand(worker, strand, stop)
                     return
                 strand.resume_value = None
@@ -577,6 +653,7 @@ class Engine:
                         raise SimulationError(
                             "ForkOp yielded but no fork handler installed"
                         )
+                    self.step_clock = start
                     self.fork_handler(worker, op)
                     return
                 else:

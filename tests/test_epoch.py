@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis.run import run_benchmark
 from repro.bench import BENCHMARKS
-from repro.common.config import dual_socket
+from repro.coherence.registry import available_protocols
+from repro.common.config import CacheConfig, dual_socket
 from repro.common.errors import SimulationError
 from repro.common.types import AccessType
 from repro.sim.engine import Engine
@@ -27,10 +28,11 @@ from repro.sim.ops import (
     StoreBatchOp,
     StoreOp,
 )
+from repro.workloads import SYNTH_WORKLOADS
 from tests.conftest import tiny_config
 
 
-def _run_in_mode(name: str, protocol: str, mode: str):
+def _run_in_mode(name: str, protocol: str, mode: str, config=None):
     """Run one benchmark with REPRO_EPOCH_BATCH forced to ``mode``."""
     saved = os.environ.get("REPRO_EPOCH_BATCH")
     os.environ["REPRO_EPOCH_BATCH"] = mode
@@ -38,7 +40,7 @@ def _run_in_mode(name: str, protocol: str, mode: str):
         return run_benchmark(
             name,
             protocol,
-            dual_socket(),
+            config or dual_socket(),
             size="test",
             use_cache=False,
             use_disk_cache=False,
@@ -50,17 +52,42 @@ def _run_in_mode(name: str, protocol: str, mode: str):
             os.environ["REPRO_EPOCH_BATCH"] = saved
 
 
+def _assert_identical(name, protocol, config=None):
+    batched = _run_in_mode(name, protocol, "1", config)
+    reference = _run_in_mode(name, protocol, "0", config)
+    assert batched.stats.to_dict() == reference.stats.to_dict(), (
+        f"{name}/{protocol}: epoch-batched stats diverge from per-op"
+    )
+    assert batched.result == reference.result
+
+
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_epoch_batching_is_bit_identical(name):
     """Every benchmark/protocol pair: RunStats (including CoherenceStats)
     must match field-for-field between batched and per-op stepping."""
     for protocol in ("mesi", "warden"):
-        batched = _run_in_mode(name, protocol, "1")
-        reference = _run_in_mode(name, protocol, "0")
-        assert batched.stats.to_dict() == reference.stats.to_dict(), (
-            f"{name}/{protocol}: epoch-batched stats diverge from per-op"
+        _assert_identical(name, protocol)
+
+
+@pytest.mark.parametrize("protocol", available_protocols())
+@pytest.mark.parametrize("name", sorted(SYNTH_WORKLOADS))
+def test_synth_epoch_batching_is_bit_identical(name, protocol):
+    """The synthetic workloads leave most workers idle, so they exercise
+    sleeping idle workers (and their closed-form catch-up) the hardest."""
+    _assert_identical(name, protocol)
+
+
+@pytest.mark.parametrize("l1", ["table2", "2KiB-2way"])
+def test_smt_epoch_batching_is_bit_identical(l1):
+    """SMT siblings share an L1, so idle workers must not sleep there: a
+    sibling's accesses can evict the sleeper's spin blocks.  The small-L1
+    cell makes that eviction happen, so sleeping on SMT would diverge."""
+    config = dual_socket().replace(threads_per_core=2)
+    if l1 != "table2":
+        config = config.replace(
+            l1=CacheConfig(2048, 2, config.block_size, latency=config.l1.latency)
         )
-        assert batched.result == reference.result
+    _assert_identical("msort", "warden", config)
 
 
 # ----------------------------------------------------------------------

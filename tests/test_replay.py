@@ -19,13 +19,16 @@ from repro.analysis.pool import RunTask, replay_matrix, task_fingerprint
 from repro.analysis.run import replay_benchmark, run_benchmark
 from repro.analysis import run as run_mod
 from repro.bench import PAPER_ORDER
-from repro.common.config import dual_socket
+from repro.cli import main
+from repro.common.config import dual_socket, single_socket
+from repro.common.errors import ConfigError
 from repro.replay import (
     Trace,
     TraceStore,
     record_benchmark,
     replay_trace,
 )
+from repro.replay.kernel import ReplayKernel
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "stats_digests.json"
@@ -194,6 +197,18 @@ def test_replay_matrix_sweeps_variants(tmp_path):
     assert results[1].machine == "quarter-llc"
     # one recording serves the whole sweep
     assert len(list(store.root.glob("*.wtrace"))) == 1
+
+
+def test_replay_rejects_machine_with_fewer_threads(tmp_path):
+    trace, _ = record_benchmark("primes", "mesi", dual_socket(), size="test")
+    with pytest.raises(ConfigError, match="24-thread.*12 hardware threads"):
+        ReplayKernel(trace, single_socket())
+    path = tmp_path / "primes.wtrace"
+    path.write_bytes(trace.to_bytes())
+    assert main(["replay", "--trace", str(path), "--machine", "single"]) == 2
+    # the recorded machine (the default) and a same-size preset still run
+    assert main(["replay", "--trace", str(path)]) == 0
+    assert main(["replay", "--trace", str(path), "--machine", "dual"]) == 0
 
 
 def test_recorded_trace_fingerprint_matches_task_key(tmp_path):
