@@ -12,13 +12,15 @@ object the 14 paper kernels use, so every existing consumer —
   addr`` (``heap=None``: trace addresses are foreign to the managed
   heap, so the disentanglement checker and race detector — which reason
   about HLPL heap objects — do not apply);
-* accesses that span cache blocks are split at block boundaries (the
-  engine contract is one block per scalar op), preserving the byte
-  footprint exactly;
-* the run "result" is the trace checksum, recomputed per-thread inside
-  the simulated tasks and combined order-independently, so engine and
-  replay paths agree bit-for-bit and ``reference`` is trivially the
-  host-side checksum.
+* an access that fits in one cache block is yielded as it is; only one
+  that spans blocks is split at block boundaries (the engine contract is
+  one block per scalar op), preserving the byte footprint exactly;
+* the run "result" is the trace checksum (blake2b-64 per thread over
+  little-endian 64-bit words, see :mod:`repro.workloads.memtrace`),
+  returned per thread by the simulated tasks and combined
+  order-independently, so engine and replay paths agree bit-for-bit.
+  ``reference`` is the host-side checksum; each thread's hash is
+  memoized on the trace, so a run computes it once per thread.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ from typing import Dict, Optional
 
 from repro.bench.common import Benchmark
 from repro.sim.ops import LoadOp, RmwOp, StoreOp
-from repro.workloads.memtrace import K_LOAD, K_STORE, MemTrace, _MASK64
+from repro.workloads.memtrace import K_LOAD, K_RMW, K_STORE, MemTrace, _MASK64
 
 #: trace addresses live far above any sbrk'd heap page (base 0x1_0000);
 #: offsetting by 4 GiB guarantees external addresses never alias runtime
 #: allocations regardless of workload size.
 TRACE_ADDR_BASE = 1 << 32
+
+#: op class by kind code; any code but K_LOAD/K_STORE replays as RMW
+_OP_CLASSES = (LoadOp, StoreOp, RmwOp)
 
 
 def _thread_body(trace: MemTrace, thread: int):
@@ -43,20 +48,22 @@ def _thread_body(trace: MemTrace, thread: int):
     def body(ctx):
         block_size = ctx.rt.machine.config.block_size
         for kind, addr, size in ops:
-            base = TRACE_ADDR_BASE + addr
-            remaining = max(size, 1)
-            offset = 0
-            while remaining > 0:
-                at = base + offset
-                chunk = min(remaining, block_size - at % block_size)
-                if kind == K_LOAD:
-                    yield LoadOp(at, chunk, heap=None)
-                elif kind == K_STORE:
-                    yield StoreOp(at, chunk, heap=None)
-                else:
-                    yield RmwOp(at, chunk, heap=None)
-                offset += chunk
-                remaining -= chunk
+            cls = _OP_CLASSES[
+                kind if kind == K_LOAD or kind == K_STORE else K_RMW
+            ]
+            at = TRACE_ADDR_BASE + addr
+            if size < 1:
+                size = 1
+            room = block_size - at % block_size
+            if size <= room:
+                yield cls(at, size)
+                continue
+            while size > 0:
+                chunk = size if size < room else room
+                yield cls(at, chunk)
+                at += chunk
+                size -= chunk
+                room = block_size
         return trace.thread_checksum(thread)
         yield  # pragma: no cover - keeps zero-op bodies generators
 

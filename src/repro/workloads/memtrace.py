@@ -29,10 +29,22 @@ directory-protocol coursework and trace tools)::
 Every rejection carries a ``file:line: reason`` diagnostic via
 :class:`TraceFormatError` so CLI consumers can exit 2 with a pointer at
 the offending line instead of a traceback.
+
+Checksum: each thread's ``(kind, addr, size)`` words, each masked to 64
+bits and packed as little-endian unsigned 64-bit integers on every host,
+are hashed with ``blake2b(digest_size=8)``; :meth:`MemTrace.checksum`
+combines the thread hashes as ``sum((thread + 1) * h) mod 2**64``.  Each
+thread's hash is memoized next to the ``by_thread`` grouping (``append``
+drops both), so the simulated thread bodies and the host-side reference
+of one run share a single computation per thread.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from hashlib import blake2b
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ReproError
@@ -81,7 +93,7 @@ class MemTrace:
     label (source filename or generator id), not part of the workload.
     """
 
-    __slots__ = ("ops", "name", "_by_thread")
+    __slots__ = ("ops", "name", "_by_thread", "_checksums")
 
     def __init__(
         self,
@@ -91,11 +103,13 @@ class MemTrace:
         self.ops: List[Tuple[int, int, int, int]] = ops if ops is not None else []
         self.name = name
         self._by_thread: Optional[Dict[int, List[Tuple[int, int, int]]]] = None
+        self._checksums: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def append(self, thread: int, kind: int, addr: int, size: int = 8) -> None:
         self.ops.append((thread, kind, addr, size))
         self._by_thread = None
+        self._checksums = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -151,11 +165,12 @@ class MemTrace:
 
     # ------------------------------------------------------------------
     def thread_checksum(self, thread: int) -> int:
-        """Order-sensitive FNV-1a over one thread's op stream."""
-        h = 0xCBF29CE484222325
-        for kind, addr, size in self.by_thread().get(thread, ()):
-            for word in (kind, addr, size):
-                h = ((h ^ (word & _MASK64)) * 0x100000001B3) & _MASK64
+        """Order-sensitive 64-bit blake2b over one thread's op stream."""
+        h = self._checksums.get(thread)
+        if h is None:
+            h = self._checksums[thread] = _stream_hash(
+                self.by_thread().get(thread, ())
+            )
         return h
 
     def checksum(self) -> int:
@@ -179,6 +194,17 @@ class MemTrace:
         for thread, kind, addr, size in self.ops:
             lines.append(f"{thread} {_KIND_NAMES[kind]} {addr:#x} {size}")
         return "\n".join(lines) + "\n"
+
+
+def _stream_hash(rows: Iterable[Tuple[int, int, int]]) -> int:
+    """blake2b-64 of ``rows`` flattened to little-endian uint64 words."""
+    try:
+        words = array("Q", chain.from_iterable(rows))
+    except OverflowError:  # a negative word, or one of 2**64 and up
+        words = array("Q", [w & _MASK64 for w in chain.from_iterable(rows)])
+    if sys.byteorder != "little":
+        words.byteswap()
+    return int.from_bytes(blake2b(words, digest_size=8).digest(), "little")
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +247,7 @@ def parse_trace_text(
     malformed line; an empty trace (zero op rows) is also an error.
     """
     trace = MemTrace(name=source)
+    threads = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].split("//", 1)[0].strip()
         if not line:
@@ -255,12 +282,14 @@ def parse_trace_text(
                     source, lineno,
                     f"size {size} outside [1, {MAX_ACCESS_SIZE}]",
                 )
+        if thread not in threads:
+            if len(threads) == MAX_TRACE_THREADS:
+                raise TraceFormatError(
+                    source, lineno,
+                    f"more than {MAX_TRACE_THREADS} distinct thread ids",
+                )
+            threads.add(thread)
         trace.append(thread, kind, addr, size)
-        if len(trace.by_thread()) > MAX_TRACE_THREADS:
-            raise TraceFormatError(
-                source, lineno,
-                f"more than {MAX_TRACE_THREADS} distinct thread ids",
-            )
     if not trace.ops:
         raise TraceFormatError(
             source, max(1, text.count("\n") + (0 if text.endswith("\n") or not text else 1)),

@@ -29,9 +29,9 @@ arbitrary knob settings (the CLI ``synth`` subcommand's entry point).
 
 from __future__ import annotations
 
-import bisect
 import random
-from typing import Callable, Dict, List
+from bisect import bisect_left
+from typing import Callable, Dict, List, Tuple
 
 from repro.bench.common import Benchmark
 from repro.common.errors import ConfigError
@@ -48,6 +48,9 @@ LINE = 64
 #: intended substrate at that scale.
 SCALES = {"test": 150, "small": 1200, "default": 25000}
 
+#: one trace row, ``(thread, kind, addr, size)``
+Op = Tuple[int, int, int, int]
+
 
 def _zipf_cdf(keys: int, skew: float) -> List[float]:
     """Cumulative weights for ranks ``1..keys`` under ``1/rank**skew``."""
@@ -61,10 +64,6 @@ def _zipf_cdf(keys: int, skew: float) -> List[float]:
     return cdf
 
 
-def _pick_zipf(rng: random.Random, cdf: List[float]) -> int:
-    return bisect.bisect_left(cdf, rng.random())
-
-
 def gen_zipf(
     rng: random.Random,
     ops_per_thread: int,
@@ -74,14 +73,15 @@ def gen_zipf(
     read_frac: float = 0.9,
 ) -> MemTrace:
     """Zipfian key-popularity cache traffic (rank ``r`` lives at block ``r``)."""
-    trace = MemTrace(name=f"zipf(skew={skew},read_frac={read_frac})")
     cdf = _zipf_cdf(keys, skew)
+    ops: List[Op] = []
+    append, draw = ops.append, rng.random
     for _ in range(ops_per_thread):
         for thread in range(threads):
-            key = _pick_zipf(rng, cdf)
-            kind = K_LOAD if rng.random() < read_frac else K_STORE
-            trace.append(thread, kind, key * LINE, 8)
-    return trace
+            key = bisect_left(cdf, draw())
+            kind = K_LOAD if draw() < read_frac else K_STORE
+            append((thread, kind, key * LINE, 8))
+    return MemTrace(ops, name=f"zipf(skew={skew},read_frac={read_frac})")
 
 
 def gen_rwmix(
@@ -92,13 +92,14 @@ def gen_rwmix(
     write_frac: float = 0.3,
 ) -> MemTrace:
     """Uniform key access with a tunable write fraction."""
-    trace = MemTrace(name=f"rwmix(write_frac={write_frac})")
+    ops: List[Op] = []
+    append, draw, randrange = ops.append, rng.random, rng.randrange
     for _ in range(ops_per_thread):
         for thread in range(threads):
-            key = rng.randrange(keys)
-            kind = K_STORE if rng.random() < write_frac else K_LOAD
-            trace.append(thread, kind, key * LINE, 8)
-    return trace
+            key = randrange(keys)
+            kind = K_STORE if draw() < write_frac else K_LOAD
+            append((thread, kind, key * LINE, 8))
+    return MemTrace(ops, name=f"rwmix(write_frac={write_frac})")
 
 
 def gen_ring(
@@ -114,22 +115,23 @@ def gen_ring(
     queues often do).  Each logical item is 4 ops: produce = store item
     + RMW tail; consume = RMW head + load item.
     """
-    trace = MemTrace(name=f"ring(slots={slots})")
     ring_span = (slots + 1) * LINE
     items = max(1, ops_per_thread // 4)
+    ops: List[Op] = []
+    append, randrange = ops.append, rng.randrange
     for i in range(items):
         for thread in range(threads):
             ring = thread  # thread t produces into ring t
             base = ring * ring_span
             # seed-dependent payload offset within the slot line (the
             # consumer reads exactly what the producer wrote)
-            item = base + (i % slots) * LINE + 8 * rng.randrange(8)
-            trace.append(thread, K_STORE, item, 8)
-            trace.append(thread, K_RMW, base + slots * LINE, 8)  # tail
+            item = base + (i % slots) * LINE + 8 * randrange(8)
+            append((thread, K_STORE, item, 8))
+            append((thread, K_RMW, base + slots * LINE, 8))  # tail
             consumer = (thread + 1) % threads
-            trace.append(consumer, K_RMW, base + slots * LINE + 8, 8)  # head
-            trace.append(consumer, K_LOAD, item, 8)
-    return trace
+            append((consumer, K_RMW, base + slots * LINE + 8, 8))  # head
+            append((consumer, K_LOAD, item, 8))
+    return MemTrace(ops, name=f"ring(slots={slots})")
 
 
 def gen_falseshare(
@@ -144,16 +146,17 @@ def gen_falseshare(
     At ``slots_per_line=1`` every counter has a private line (the fixed
     version of the bug); at 8 all eight threads fight over one line.
     """
-    trace = MemTrace(name=f"falseshare(slots_per_line={slots_per_line})")
     slot_stride = LINE // slots_per_line
+    ops: List[Op] = []
+    append, draw = ops.append, rng.random
     for _ in range(ops_per_thread):
         for thread in range(threads):
             line = thread // slots_per_line
             slot = thread % slots_per_line
             addr = line * LINE + slot * slot_stride
-            kind = K_LOAD if rng.random() < read_frac else K_STORE
-            trace.append(thread, kind, addr, min(8, slot_stride))
-    return trace
+            kind = K_LOAD if draw() < read_frac else K_STORE
+            append((thread, kind, addr, min(8, slot_stride)))
+    return MemTrace(ops, name=f"falseshare(slots_per_line={slots_per_line})")
 
 
 def gen_phase(
@@ -171,22 +174,23 @@ def gen_phase(
     that phase's common window instead (write-mostly, so phase churn
     generates real coherence turnover, not just capacity misses).
     """
-    trace = MemTrace(name=f"phase(phases={phases})")
     per_phase = max(1, ops_per_thread // phases)
     shared_base_line = threads * phases * window_lines
+    ops: List[Op] = []
+    append, draw, randrange = ops.append, rng.random, rng.randrange
     for phase in range(phases):
         for _ in range(per_phase):
             for thread in range(threads):
-                if rng.random() < shared_frac:
+                if draw() < shared_frac:
                     line = shared_base_line + phase * window_lines \
-                        + rng.randrange(window_lines)
-                    kind = K_STORE if rng.random() < 0.5 else K_LOAD
+                        + randrange(window_lines)
+                    kind = K_STORE if draw() < 0.5 else K_LOAD
                 else:
                     line = (thread * phases + phase) * window_lines \
-                        + rng.randrange(window_lines)
-                    kind = K_STORE if rng.random() < 0.3 else K_LOAD
-                trace.append(thread, kind, line * LINE, 8)
-    return trace
+                        + randrange(window_lines)
+                    kind = K_STORE if draw() < 0.3 else K_LOAD
+                append((thread, kind, line * LINE, 8))
+    return MemTrace(ops, name=f"phase(phases={phases})")
 
 
 #: generator registry: kind -> callable(rng, ops_per_thread, **knobs)

@@ -142,6 +142,25 @@ def test_too_many_threads_rejected():
     assert "distinct thread ids" in excinfo.value.reason
 
 
+def test_parse_does_not_regroup_per_line(monkeypatch):
+    """Parsing is linear: the thread-count cap never regroups the prefix."""
+    calls = []
+    real = MemTrace.by_thread
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(MemTrace, "by_thread", counting)
+    threads = MAX_TRACE_THREADS
+    text = "".join(
+        f"{i % threads} {'RW'[i % 2]} {64 * i:#x}\n" for i in range(24_000)
+    )
+    trace = parse_trace_text(text)
+    assert calls == []
+    assert len(trace) == 24_000 and len(trace.threads()) == threads
+
+
 def test_unreadable_and_binary_files_rejected(tmp_path):
     with pytest.raises(TraceFormatError) as excinfo:
         load_trace_file(str(tmp_path / "missing.trace"))
