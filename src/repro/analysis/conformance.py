@@ -4,12 +4,18 @@ Turns the paper's central safety claim — WARDen's relaxed ``W`` state can
 never change program outcomes for WARD-compliant programs (§3–§5) — into a
 machine-checked property over the benchmark suite, generalized to any
 (baseline, candidate) pair of registered protocols (default MESI vs
-WARDen).  For each benchmark the harness runs three legs:
+WARDen).  For each benchmark the harness simulates twice — the baseline
+plain, the candidate once with every hook attached — and runs three legs
+over those two runs:
 
 1. **Differential** — the benchmark under the baseline and under the
-   candidate protocol (cacheable through the PR 2 pool/cache machinery,
-   so full sweeps are cheap and resumable) with final results compared
-   and stats invariants asserted:
+   candidate protocol with final results compared and stats invariants
+   asserted.  The baseline run is cacheable through the pool/cache
+   machinery, so full sweeps are cheap and resumable; the candidate's
+   numbers come from the hooked run of leg 2 (the hooks only observe,
+   so its stats equal a plain run's, and it is cached as one; only when
+   that run aborts on a violation is a plain candidate run made).  The
+   checks:
 
    * identical results (both also equal the Python reference, checked
      inside :func:`~repro.analysis.run.run_benchmark`);
@@ -30,10 +36,11 @@ WARDen).  For each benchmark the harness runs three legs:
      tiny sizes steal timing can shift a handful of events either way,
      while the paper-scale reductions dwarf the slack.
 
-2. **Race detection** — one uncached run with the happens-before
+2. **Race detection** — the candidate run, with the happens-before
    :class:`~repro.verify.race.RaceDetector` and the hardware-thread
-   :class:`~repro.verify.ward_checker.WardChecker` attached; any true race
-   or condition-1 violation fails the benchmark.
+   :class:`~repro.verify.ward_checker.WardChecker` attached, always
+   simulated (a cached result has no access stream to classify); any
+   true race or condition-1 violation fails the benchmark.
 
 3. **Value-level oracle** — every region epoch's access log is replayed
    through :class:`~repro.verify.coherence_checker.WardMemoryModel` with
@@ -304,13 +311,38 @@ def verify_benchmark(
         baseline=baseline,
     )
 
-    # Leg 1: differential baseline vs candidate (cache-friendly).
+    # Leg 1 baseline (cache-friendly).  The candidate is simulated once,
+    # with the happens-before detector and the WARD checker attached: the
+    # hooks only observe, so that run also serves leg 1 (and lands in the
+    # result cache as the plain candidate run).
     base = run_benchmark(
         name, baseline, config, size=size, seed=seed, policy=policy
     )
-    cand = run_benchmark(
-        name, protocol, config, size=size, seed=seed, policy=policy
+    detector = RaceDetector(
+        benchmark=name,
+        raise_on_race=False,
+        sink=obs_sink,
+        record_regions=check_oracle,
     )
+    violation = None
+    try:
+        cand = run_benchmark(
+            name,
+            protocol,
+            config,
+            size=size,
+            seed=seed,
+            policy=policy,
+            check_ward=cand_cls.supports_ward,
+            race_detector=detector,
+            obs_sink=obs_sink,
+        )
+    except (RaceError, WardViolationError) as exc:
+        violation = str(exc)
+        # The checked run stopped early; leg 1 needs a complete one.
+        cand = run_benchmark(
+            name, protocol, config, size=size, seed=seed, policy=policy
+        )
     out.stats = {baseline: _stat_extract(base), protocol: _stat_extract(cand)}
     bs, cs = base.stats, cand.stats
 
@@ -358,27 +390,9 @@ def verify_benchmark(
                 f"{base_cls.name} ({base_events}) beyond the noise slack"
             )
 
-    # Legs 2+3: happens-before detection + value-level oracle (uncached).
-    detector = RaceDetector(
-        benchmark=name,
-        raise_on_race=False,
-        sink=obs_sink,
-        record_regions=check_oracle,
-    )
-    try:
-        run_benchmark(
-            name,
-            protocol,
-            config,
-            size=size,
-            seed=seed,
-            policy=policy,
-            check_ward=cand_cls.supports_ward,
-            race_detector=detector,
-            obs_sink=obs_sink,
-        )
-    except (RaceError, WardViolationError) as exc:
-        out.fail(str(exc))
+    # Legs 2+3: happens-before detection + value-level oracle.
+    if violation is not None:
+        out.fail(violation)
     out.detector = detector.summary()
     out.races = len(detector.races)
     out.benign_waws = len(detector.benign_waws)
@@ -418,10 +432,13 @@ def run_verify(
 ) -> ConformanceReport:
     """Verify every benchmark in ``names``; returns a full report.
 
-    With ``jobs > 1`` (or any robustness flag) the differential legs fan
-    out over the PR 2 process pool first; the per-benchmark verification
-    then reads them back from the cache.  The detector/oracle leg always
-    runs in-process (it needs live hooks, which do not serialize).
+    Each benchmark costs two simulations: the plain baseline run and one
+    candidate run with the detector and WARD checker attached, which
+    serves all three legs.  With ``jobs > 1`` (or any robustness flag)
+    the baseline runs fan out over the process pool first; the
+    per-benchmark verification then reads them back from the cache.  The
+    candidate run always happens in-process (it needs live hooks, which
+    do not serialize).
     """
     robust = timeout is not None or retries > 0 or resume or report is not None
     if jobs > 1 or robust:
@@ -429,14 +446,13 @@ def run_verify(
             [
                 RunTask(
                     benchmark=name,
-                    protocol=proto,
+                    protocol=baseline,
                     config=config,
                     size=size,
                     seed=seed,
                     policy=policy,
                 )
                 for name in names
-                for proto in sorted({baseline, protocol})
             ],
             jobs=jobs,
             timeout=timeout,

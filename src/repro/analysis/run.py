@@ -11,7 +11,7 @@ invalidates every stale entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import get_benchmark
@@ -93,10 +93,14 @@ def run_benchmark(
     the machine's tracer for the duration of the run; traced runs bypass
     the result cache (a cached result has no event stream to replay).
     ``race_detector`` attaches a :class:`repro.verify.race.RaceDetector`
-    to the runtime; detected runs bypass the cache too (a cached result
-    has no access stream to classify).  ``use_disk_cache=False`` skips
-    the persistent cache (when one is installed via
-    :func:`set_disk_cache`) without disturbing the in-process cache.
+    to the runtime; detected runs skip the cache lookup too (a cached
+    result has no access stream to classify).  The detector and the WARD
+    checker only observe, so a detected run's result *is* the plain run's:
+    it is stored under the plain (``check_ward=False``) fingerprint, and a
+    later plain run of the same task is a cache hit.
+    ``use_disk_cache=False`` skips the persistent cache (when one is
+    installed via :func:`set_disk_cache`) without disturbing the
+    in-process cache.
     """
     task = RunTask(
         benchmark=name,
@@ -105,13 +109,14 @@ def run_benchmark(
         size=size,
         seed=seed,
         policy=policy,
-        check_ward=check_ward,
+        # a detected run is never looked up; it is stored as the plain run
+        check_ward=check_ward and race_detector is None,
     )
     key = task_fingerprint(task)
-    if obs_sink is not None or race_detector is not None:
+    if obs_sink is not None:
         use_cache = False
     disk = _DISK_CACHE if (use_cache and use_disk_cache) else None
-    if use_cache:
+    if use_cache and race_detector is None:
         hit = _CACHE.get(key)
         if hit is not None:
             return hit
@@ -157,9 +162,10 @@ def run_benchmark(
         ward_checked=monitor is not None,
     )
     if use_cache:
-        _CACHE[key] = out
+        plain = out if race_detector is None else replace(out, ward_checked=False)
+        _CACHE[key] = plain
         if disk is not None:
-            disk.store(key, out)
+            disk.store(key, plain)
     return out
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -669,6 +670,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be a positive, finite number")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -685,7 +693,8 @@ def _add_cache_args(parser) -> None:
 
 def _add_robust_args(parser) -> None:
     """Robustness knobs shared by ``figure`` and ``bench`` (see pool.py)."""
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--timeout", type=_positive_float, default=None,
+                        metavar="SECONDS",
                         help="per-task timeout; a hung simulation is killed "
                              "and retried in a fresh worker")
     parser.add_argument("--retries", type=_nonnegative_int, default=0,
@@ -893,7 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--json", action="store_true",
                     help="emit the machine-readable conformance report")
     pv.add_argument("--jobs", type=_positive_int, default=1,
-                    help="fan the differential runs over N processes")
+                    help="fan the baseline runs over N processes (the "
+                         "hooked candidate run stays in-process)")
     pv.add_argument("--no-oracle", action="store_true",
                     help="skip the value-level WardMemoryModel replay leg")
     _add_cache_args(pv)

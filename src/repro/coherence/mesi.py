@@ -349,10 +349,10 @@ class MESIProtocol:
             return None
         bs = self._block_size
         block_addr = addr - (addr % bs)
-        # Side-effect-free probe first (the cache probe/commit_hit protocol,
+        # Side-effect-free probe of the set dicts first (the cache lookup,
         # inlined here — this is the hottest function in the simulator);
-        # committing a confirmed hit replays lookup()'s exact statistical
-        # effects without a second dict walk.
+        # a confirmed hit then replays lookup()'s exact statistical
+        # effects (hit counter + LRU touch) without a second dict walk.
         l1, sets1, shift1, mask1, l2, sets2, shift2, mask2 = self._fast_meta[core]
         if mask1 >= 0:
             idx = (block_addr >> shift1) & mask1

@@ -104,34 +104,6 @@ class SetAssocCache:
         self.hits += 1
         return block
 
-    def probe(self, block_addr: int):
-        """Side-effect-free two-phase variant of :meth:`lookup`.
-
-        Returns ``(cset, block)`` — ``block`` is None when absent/invalid.
-        Callers that decide to go through with the access commit the probe
-        with :meth:`commit_hit` (or by incrementing ``misses`` on a miss);
-        together these replicate lookup()'s statistical effects exactly,
-        without a second set-index/dict walk.  Callers that back out touch
-        nothing.
-        """
-        mask = self._set_mask
-        if mask >= 0:  # inlined set_index (hot path)
-            idx = (block_addr >> self._block_shift) & mask
-        else:
-            idx = self.set_index(block_addr)
-        cset = self._sets.get(idx)
-        if cset is None:
-            return None, None
-        block = cset.get(block_addr)
-        if block is None or block.state is CoherenceState.INVALID:
-            return cset, None
-        return cset, block
-
-    def commit_hit(self, cset, block_addr: int) -> None:
-        """Record the hit of a successful :meth:`probe` (counters + LRU)."""
-        self.hits += 1
-        cset.move_to_end(block_addr)
-
     def peek(self, block_addr: int) -> Optional[CacheBlock]:
         """Non-statistical, non-LRU-refreshing lookup (for checkers/tests)."""
         cset = self._sets.get(self.set_index(block_addr))

@@ -99,35 +99,6 @@ class Machine:
             tracer.access(start, thread, atype.value, addr, size, latency)
         return latency
 
-    def fast_access(
-        self,
-        thread: int,
-        addr: int,
-        size: int,
-        atype: AccessType,
-        spin: bool = False,
-    ) -> Optional[int]:
-        """Epoch fast path: resolve a private-cache hit and charge the core.
-
-        Returns the latency, or None when the full :meth:`access`
-        transaction is required (the core is then left untouched).  Emits
-        no tracer events — callers must only take this path while the
-        tracer is disabled (the epoch engine falls back to per-op stepping
-        whenever a sink is installed).
-        """
-        latency = self.protocol.try_fast_access(
-            self._core_of[thread], addr, size, atype
-        )
-        if latency is None:
-            return None
-        cm = self.cores[thread]
-        if atype is AccessType.LOAD:
-            cm.load(latency, spin=spin)
-        else:
-            # try_fast_access never resolves RMWs, so this is a store.
-            cm.store(latency)
-        return latency
-
     def compute(self, thread: int, instrs: int) -> None:
         self.cores[thread].compute(instrs)
 

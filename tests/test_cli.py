@@ -35,6 +35,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonsense"])
 
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig12"], ["bench"], ["verify", "--all"],
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_positive_and_finite(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + [f"--timeout={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a positive, finite number" in err
+        assert "Traceback" not in err
+
+    def test_timeout_accepts_positive_seconds(self):
+        args = build_parser().parse_args(["verify", "--all", "--timeout", "30"])
+        assert args.timeout == 30.0
+
 
 class TestCommands:
     def test_specs(self, capsys):

@@ -194,3 +194,143 @@ class TestStatsDigest:
         assert stats_digest(a.stats) == stats_digest(b.stats)
         assert stats_digest(a.stats) != stats_digest(c.stats)
         assert len(stats_digest(a.stats)) == 64
+
+
+# ----------------------------------------------------------------------
+# The hooked candidate run serves every leg
+# ----------------------------------------------------------------------
+
+def _verify_cells():
+    from repro.bench import PAPER_ORDER
+    from repro.coherence.registry import available_protocols
+    from repro.workloads import workload_names
+
+    return [
+        (name, proto)
+        for name in list(PAPER_ORDER) + workload_names()
+        for proto in available_protocols()
+    ]
+
+
+@pytest.mark.parametrize("name,protocol", _verify_cells())
+def test_hooks_observe_and_never_steer(name, protocol):
+    # verify reads leg 1 off the hooked run, so the race detector and the
+    # WARD checker must leave every counter and the result untouched.
+    from repro.analysis.run import run_benchmark
+    from repro.coherence.registry import protocol_class
+    from repro.common.config import dual_socket
+    from repro.verify.race import RaceDetector
+
+    config = dual_socket()
+    plain = run_benchmark(name, protocol, config, size="test",
+                          use_cache=False)
+    hooked = run_benchmark(
+        name, protocol, config, size="test", use_cache=False,
+        check_ward=protocol_class(protocol).supports_ward,
+        race_detector=RaceDetector(
+            benchmark=name, raise_on_race=False, record_regions=True
+        ),
+    )
+    assert stats_digest(hooked.stats) == stats_digest(plain.stats)
+    assert hooked.result == plain.result
+
+
+@pytest.fixture
+def sim_count(monkeypatch):
+    """Count engine simulations (``Runtime.run`` calls) from a cold cache."""
+    from repro.analysis import run as run_mod
+    from repro.hlpl.runtime import Runtime
+
+    calls = []
+    real = Runtime.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runtime, "run", counting_run)
+    previous = run_mod.set_disk_cache(None)
+    run_mod.clear_cache()
+    yield calls
+    run_mod.clear_cache()
+    run_mod.set_disk_cache(previous)
+
+
+class TestSingleCandidateRun:
+    def test_cold_verify_simulates_each_protocol_once(self, sim_count):
+        out = verify_benchmark("primes", tiny_config(), size="test")
+        assert out.passed, out.failures
+        assert len(sim_count) == 2
+
+    def test_cached_baseline_leaves_one_simulation(self, sim_count):
+        from repro.analysis.run import run_benchmark
+
+        run_benchmark("primes", "mesi", tiny_config(), size="test")
+        sim_count.clear()
+        out = verify_benchmark("primes", tiny_config(), size="test")
+        assert out.passed, out.failures
+        assert len(sim_count) == 1
+        assert out.oracle_regions > 0  # the detector leg still ran
+
+    def test_hooked_run_is_cached_as_the_plain_run(self, sim_count):
+        from repro.analysis.run import run_benchmark
+
+        verify_benchmark("primes", tiny_config(), size="test")
+        sim_count.clear()
+        cached = run_benchmark("primes", "warden", tiny_config(), size="test")
+        assert sim_count == []
+        assert not cached.ward_checked
+        fresh = run_benchmark("primes", "warden", tiny_config(), size="test",
+                              use_cache=False)
+        assert stats_digest(cached.stats) == stats_digest(fresh.stats)
+        assert cached.result == fresh.result
+
+    def test_hooked_run_reaches_the_disk_cache(self, sim_count, tmp_path):
+        from repro.analysis.pool import DiskCache
+        from repro.analysis.run import clear_cache, run_benchmark, set_disk_cache
+
+        set_disk_cache(DiskCache(tmp_path))
+        verify_benchmark("fib", tiny_config(), size="test")
+        clear_cache()
+        sim_count.clear()
+        hit = run_benchmark("fib", "warden", tiny_config(), size="test")
+        assert sim_count == []
+        assert not hit.ward_checked
+
+    def test_violation_falls_back_to_a_plain_candidate_run(self, monkeypatch):
+        from repro.common.errors import WardViolationError
+
+        mesi = SimpleNamespace(result=[1], stats=_fake_stats(compute=100))
+        warden = SimpleNamespace(
+            result=[1], stats=_fake_stats(compute=104, adds=2, removes=2,
+                                          ward_accesses=9, coverage=0.5)
+        )
+        calls = []
+
+        def fake_run_benchmark(name, protocol, config, **kwargs):
+            calls.append((protocol, kwargs.get("race_detector") is not None))
+            if protocol == "mesi":
+                return mesi
+            if kwargs.get("race_detector") is not None:
+                raise WardViolationError(0x40, writer=1, reader=2)
+            return warden
+
+        monkeypatch.setattr(conformance, "run_benchmark", fake_run_benchmark)
+        out = verify_benchmark("fib", tiny_config(), check_oracle=False)
+        assert calls == [("mesi", False), ("warden", True), ("warden", False)]
+        assert out.failures == [str(WardViolationError(0x40, 1, 2))]
+        assert out.stats["warden"]["compute_instrs"] == 104
+        assert out.stats["warden"]["ward_accesses"] == 9
+
+    def test_pool_prefetches_baseline_runs_only(self, monkeypatch):
+        captured = []
+        monkeypatch.setattr(
+            conformance, "prefetch",
+            lambda tasks, **kwargs: captured.extend(tasks),
+        )
+        report = run_verify(["fib", "primes"], tiny_config(), size="test",
+                            jobs=2, check_oracle=False)
+        assert report.passed
+        assert [(t.benchmark, t.protocol) for t in captured] == [
+            ("fib", "mesi"), ("primes", "mesi"),
+        ]
