@@ -150,8 +150,11 @@ def run_bench_suite(
 
     ``mode="replay"`` times the vectorized replay kernel instead of the
     interpreted engine: each row's trace is recorded (or fetched from the
-    trace store) *untimed*, then only :func:`~repro.replay.replay_trace`
-    is measured.  Replay rows always run in-process — the robustness knobs
+    trace store) *untimed*, then each repeat times a cold replay: decode
+    a fresh :class:`~repro.replay.Trace` from the serialized bytes, then
+    :func:`~repro.replay.replay_trace` (preprocessing and kernel loop), so
+    the trace's preprocessing memo never carries over between repeats.
+    Replay rows always run in-process — the robustness knobs
     (``timeout``/``retries``) apply to ``mode="sim"`` only, since a replay
     is a short deterministic array walk with nothing to preempt.
 
@@ -194,6 +197,7 @@ def run_bench_suite(
             if mode == "replay":
                 from repro.analysis.pool import task_fingerprint
                 from repro.replay import (
+                    Trace,
                     TraceStore,
                     record_benchmark,
                     replay_trace,
@@ -212,9 +216,10 @@ def run_bench_suite(
                         name, protocol, config, size=size, fingerprint=fp
                     )
                     store.store(fp, trace)
+                blob = trace.to_bytes()
                 for _ in range(max(1, repeats)):
                     t0 = time.perf_counter()
-                    result = replay_trace(trace)
+                    result = replay_trace(Trace.from_bytes(blob))
                     wall = time.perf_counter() - t0
                     if best_wall is None or wall < best_wall:
                         best_wall = wall

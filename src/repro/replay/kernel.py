@@ -51,6 +51,7 @@ from repro.coherence.mesi import MESIProtocol, llc_config
 from repro.coherence.regions import RegionTable
 from repro.coherence.warden import reconcile_plan
 from repro.energy.model import EnergyModel
+from repro.hlpl.scheduler import BACKOFF_MAX
 from repro.mem.cache import set_index_params
 from repro.obs.tracer import ReplayEvent
 from repro.replay._compat import load_numpy
@@ -61,6 +62,7 @@ from repro.replay.trace import (
     K_PLACE,
     K_REGION_ADD,
     K_REGION_REMOVE,
+    K_SPIN,
     K_SYNC,
     Trace,
     config_from_dict,
@@ -367,6 +369,8 @@ class ReplayKernel:
         sisd_rmw = self._sisd_rmw
         tot_f = 0
         wacc_f = 0
+        # one settled idle spin (WorkStealingScheduler.catch_up)
+        spin_period = 2 * l1_lat + BACKOFF_MAX
 
         # One flat unpack per event beats re-subscripting the hot columns:
         # the loop body is the throughput ceiling of the whole replay.
@@ -522,6 +526,15 @@ class ReplayKernel:
                 a = aux[k]
                 if a > clk[t]:
                     clk[t] = a
+            elif kd == K_SPIN:
+                # n closed-form spins: two L1-hit loads each (one a spin
+                # load), spin_k of them to WARD blocks; LRU order stays
+                n = aux[k]
+                clk[t] += n * spin_period
+                loads[t] += 2 * n
+                spins[t] += n
+                tot_f += 2 * n
+                wacc_f += spin_k * n
             elif kd == K_REGION_ADD:
                 self._region_add(addr[k], aux[k])
             elif kd == K_REGION_REMOVE:

@@ -11,17 +11,35 @@ core clocks immediately, so the recorded ``RunStats`` (and hence the
 reference-checked result) are exactly what :func:`repro.analysis.run.
 run_benchmark` would produce.
 
-Two engine behaviours are captured by instance patches on the runtime:
+Recording runs on the same epoch-batched engine, with sleeping idle
+workers, as an ordinary run, so accesses arrive by two routes:
+
+* slow accesses pass through :meth:`RecordingMachine.access`, which emits
+  them before the transaction;
+* fast-path hits never reach :meth:`Machine.access`.  Each one is a
+  successful ``protocol.try_fast_access`` followed by exactly one
+  ``CoreModel.load``/``store`` on the issuing thread's core (in the
+  engine's run/batch loops and the scheduler's deque touches).  The
+  machine wraps ``try_fast_access`` on the protocol instance to remember
+  the granted ``(addr, size)``, and :class:`RecordingCore` emits it from
+  that load/store, where the thread (not the protocol core: SMT siblings
+  share one) and the spin flag are known.
+
+Three engine behaviours are captured by instance patches on the runtime:
 
 * ``scheduler._assign`` clamps a worker's clock forward to a stolen
   strand's ready time — the only non-additive clock write in the machine.
   Recorded as ``K_SYNC`` (only when the clamp actually moves the clock).
+* ``scheduler.catch_up`` retires a sleeping idle worker's spins in closed
+  form.  Each catch-up that retires n > 0 spins is recorded as one
+  ``K_SPIN`` carrying n and the sleeper's WARD spin-block count; the
+  sleeper's pending charges ride on it.
 * ``runtime._on_root_done`` identifies which thread finished the root
   strand; its clock is the makespan, so the trace must know the thread.
 
-The ``record_per_op`` class attribute opts the machine out of the epoch
-batching fast path (the engine checks it), guaranteeing every access flows
-through :meth:`Machine.access` one at a time.
+Under ``REPRO_EPOCH_BATCH=0`` the engine steps per-op, nobody sleeps, and
+every spin is recorded as explicit accesses: that trace is the reference
+the closed form is held to.
 """
 
 from __future__ import annotations
@@ -40,12 +58,15 @@ from repro.obs.tracer import ReplayEvent
 from repro.sim.core import CoreModel
 from repro.sim.machine import Machine
 from repro.replay.trace import (
+    AT_LOAD,
+    AT_STORE,
     K_ACCESS,
     K_FLUSH,
     K_LLC_WARM,
     K_PLACE,
     K_REGION_ADD,
     K_REGION_REMOVE,
+    K_SPIN,
     K_SYNC,
     TRACE_SCHEMA,
     Trace,
@@ -58,7 +79,7 @@ _AT_CODE = {AccessType.LOAD: 0, AccessType.STORE: 1, AccessType.RMW: 2}
 class TraceRecorder:
     """Accumulates the event columns plus per-thread pending charges."""
 
-    __slots__ = ("trace", "pend_i", "pend_c", "final_thread")
+    __slots__ = ("trace", "pend_i", "pend_c", "final_thread", "granted")
 
     def __init__(self, num_threads: int) -> None:
         self.trace = Trace()
@@ -67,6 +88,9 @@ class TraceRecorder:
         self.pend_i: List[int] = [0] * num_threads
         self.pend_c: List[int] = [0] * num_threads
         self.final_thread = 0
+        #: ``(addr, size)`` of the access ``try_fast_access`` just granted;
+        #: the issuing core's load/store emits and clears it
+        self.granted: Optional[Tuple[int, int]] = None
 
     def emit(
         self, kind: int, thread: int, atype: int, size: int, spin: int,
@@ -100,6 +124,27 @@ class RecordingCore(CoreModel):
         super().__init__(config, thread, tracer=tracer)
         self._recorder = recorder
 
+    def load(self, latency: int, spin: bool = False) -> None:
+        recorder = self._recorder
+        granted = recorder.granted
+        if granted is not None:  # a fast-path hit: Machine.access never saw it
+            recorder.granted = None
+            recorder.emit(
+                K_ACCESS, self.thread, AT_LOAD, granted[1], 1 if spin else 0,
+                granted[0], 0,
+            )
+        super().load(latency, spin)
+
+    def store(self, latency: int) -> None:
+        recorder = self._recorder
+        granted = recorder.granted
+        if granted is not None:
+            recorder.granted = None
+            recorder.emit(
+                K_ACCESS, self.thread, AT_STORE, granted[1], 0, granted[0], 0
+            )
+        super().store(latency)
+
     def compute(self, instrs: int) -> None:
         self._recorder.pend_i[self.thread] += instrs
         self.clock += instrs
@@ -113,18 +158,24 @@ class RecordingCore(CoreModel):
 class RecordingMachine(Machine):
     """A machine that records protocol-visible events as it executes."""
 
-    #: tells the engine to step per-op (no epoch batching): every access
-    #: must pass through :meth:`access` to be captured
-    record_per_op = True
-
     def __init__(self, config: MachineConfig, protocol="mesi") -> None:
         super().__init__(config, protocol)
-        self.recorder = TraceRecorder(config.num_threads)
-        # Replace the cores before any Runtime/Scheduler sees them.
+        self.recorder = recorder = TraceRecorder(config.num_threads)
+        # Replace the cores and wrap the fast path before any
+        # Runtime/Scheduler sees (or hoists) them.
         self.cores = [
-            RecordingCore(config, t, self.recorder, tracer=self.tracer)
+            RecordingCore(config, t, recorder, tracer=self.tracer)
             for t in range(config.num_threads)
         ]
+        try_fast = self.protocol.try_fast_access
+
+        def try_fast_access(core, addr, size, atype):
+            latency = try_fast(core, addr, size, atype)
+            if latency is not None:
+                recorder.granted = (addr, size)
+            return latency
+
+        self.protocol.try_fast_access = try_fast_access
 
     # -- recorded instruction streams ----------------------------------
     def access(self, thread, addr, size, atype, spin=False):
@@ -200,7 +251,8 @@ def record_benchmark(
     rt = Runtime(machine, policy=policy, seed=seed)
 
     # Capture the scheduler's ready-clock clamp (the one non-additive
-    # clock write) and the identity of the makespan thread.
+    # clock write), the sleepers' closed-form spins, and the identity of
+    # the makespan thread.
     sched = rt.scheduler
     orig_assign = sched._assign
     cores = machine.cores
@@ -213,6 +265,18 @@ def record_benchmark(
         orig_assign(worker, strand)
 
     sched._assign = _assign_hook
+    orig_catch_up = sched.catch_up
+    spin_ward = sched._spin_ward
+
+    def _catch_up_hook(thread, clock, key_thread):
+        cstats = cores[thread].stats
+        before = cstats.spin_loads
+        orig_catch_up(thread, clock, key_thread)
+        spins = cstats.spin_loads - before
+        if spins:
+            recorder.emit(K_SPIN, thread, 0, 0, spin_ward[thread], 0, spins)
+
+    sched.catch_up = _catch_up_hook
     orig_root_done = rt._on_root_done
 
     def _root_done_hook(value, worker):

@@ -18,7 +18,19 @@ struct-of-arrays form: nine parallel ``array`` columns plus a JSON-able
 ``K_FLUSH`` (5)         trailing pending charge carrier (see below)
 ``K_LLC_WARM`` (6)      input-loader LLC warm fill: ``addr`` = block, no
                         timing, no directory transaction
+``K_SPIN`` (7)          closed-form idle spins of a sleeping worker
+                        (``WorkStealingScheduler.catch_up``): ``aux`` = spin
+                        count n, ``spin`` = how many of its two spin blocks
+                        are in a WARD state; each spin is two L1-hit loads
+                        (one a spin load) plus ``BACKOFF_MAX`` cycles, and
+                        leaves LRU order unchanged
 ======================  =====================================================
+
+Schema history: 1 recorded every access per-op (every idle spin as two
+``K_ACCESS`` loads); 2 records on the epoch-batched engine, so the idle
+spins of sleeping workers arrive as one ``K_SPIN`` per wake.  A schema-1
+file fails :meth:`Trace.from_bytes`, so the store treats it as a miss and
+``replay --trace`` exits 2.
 
 Between protocol events a thread accrues *pending* charges — compute
 instructions and idle/backoff cycles that advance only its local clock.
@@ -57,7 +69,7 @@ from repro.analysis.pool import DEFAULT_CACHE_DIR, code_fingerprint
 from repro.common.config import CacheConfig, EnergyConfig, MachineConfig
 
 TRACE_MAGIC = b"WARDTRACE1\n"
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 K_ACCESS = 0
 K_REGION_ADD = 1
@@ -66,6 +78,7 @@ K_PLACE = 3
 K_SYNC = 4
 K_FLUSH = 5
 K_LLC_WARM = 6
+K_SPIN = 7
 
 # atype codes for the ``atype`` column
 AT_LOAD = 0

@@ -68,10 +68,9 @@ run is not finished, the run is deadlocked and raises
 
 Sleeping is off whenever the idle spins would not commute or the skipped
 work must stay visible: with a tracer sink installed, under
-``REPRO_EPOCH_BATCH=0``, on a recording machine (``record_per_op``), with
-the scheduler's ``model_traffic=False``, and with ``threads_per_core > 1``
-(SMT siblings share an L1, so a sibling's accesses can evict the
-sleeper's spin blocks).
+``REPRO_EPOCH_BATCH=0``, with the scheduler's ``model_traffic=False``, and
+with ``threads_per_core > 1`` (SMT siblings share an L1, so a sibling's
+accesses can evict the sleeper's spin blocks).
 """
 
 from __future__ import annotations
@@ -190,14 +189,8 @@ class Engine:
         #: the worker currently being stepped (used by the runtime to charge
         #: internal work such as region instructions to the right thread)
         self.current_worker: Optional[Worker] = None
-        #: epoch-batched stepping (escape hatch: REPRO_EPOCH_BATCH=0).
-        #: A machine may demand pure per-op stepping (``record_per_op``):
-        #: the trace recorder needs every access to flow through
-        #: ``Machine.access`` so the protocol-visible stream is complete.
-        self.epoch_batch = (
-            os.environ.get("REPRO_EPOCH_BATCH", "1") != "0"
-            and not getattr(machine, "record_per_op", False)
-        )
+        #: epoch-batched stepping (escape hatch: REPRO_EPOCH_BATCH=0)
+        self.epoch_batch = os.environ.get("REPRO_EPOCH_BATCH", "1") != "0"
         #: clock of ``current_worker`` before its op being retired was
         #: fetched (gen.send); with its thread, the step's start key
         self.step_clock = 0

@@ -36,7 +36,13 @@ from typing import Callable, Dict, List, Tuple
 from repro.bench.common import Benchmark
 from repro.common.errors import ConfigError
 from repro.workloads.adapter import trace_root_task
-from repro.workloads.memtrace import K_LOAD, K_RMW, K_STORE, MemTrace
+from repro.workloads.memtrace import (
+    K_LOAD,
+    K_RMW,
+    K_STORE,
+    MAX_TRACE_THREADS,
+    MemTrace,
+)
 
 #: one cache line in every generator's address arithmetic; matches the
 #: machine presets (traces remain valid at other block sizes, the
@@ -203,13 +209,50 @@ GENERATORS: Dict[str, Callable[..., MemTrace]] = {
 }
 
 
+#: knob -> (low, high, integer-only): the inclusive range every generator
+#: accepts.  Thread ids must fit a trace (``MAX_TRACE_THREADS``), counts
+#: must be positive, a line holds at most one 1-byte slot per byte,
+#: fractions are probabilities, and the Zipf weights stay finite floats.
+KNOB_RANGES: Dict[str, Tuple[float, float, bool]] = {
+    "threads": (1, MAX_TRACE_THREADS, True),
+    "keys": (1, float("inf"), True),
+    "slots": (1, float("inf"), True),
+    "phases": (1, float("inf"), True),
+    "window_lines": (1, float("inf"), True),
+    "slots_per_line": (1, LINE, True),
+    "read_frac": (0.0, 1.0, False),
+    "write_frac": (0.0, 1.0, False),
+    "shared_frac": (0.0, 1.0, False),
+    "skew": (0.0, 16.0, False),
+}
+
+
+def _check_knob(kind: str, name: str, value) -> None:
+    bounds = KNOB_RANGES.get(name)
+    if bounds is None:
+        return  # unknown names are the generator's TypeError
+    low, high, integral = bounds
+    if integral:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        what = "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        what = "a number"
+    if not ok:
+        raise ConfigError(f"synth {kind}: {name} must be {what}, got {value!r}")
+    if not low <= value <= high:  # also rejects nan
+        span = f">= {low}" if high == float("inf") else f"in [{low}, {high}]"
+        raise ConfigError(f"synth {kind}: {name}={value} must be {span}")
+
+
 def make_trace(
     kind: str, seed: int = 42, ops_per_thread: int = SCALES["test"], **knobs
 ) -> MemTrace:
     """Build one synthetic trace with explicit knobs (CLI ``synth`` path).
 
-    Unknown kinds and unknown knob names raise :class:`ConfigError`
-    (operational error, CLI exit 2).
+    Unknown kinds, unknown knob names and knob values outside
+    :data:`KNOB_RANGES` raise :class:`ConfigError` (operational error, CLI
+    exit 2).
     """
     try:
         generator = GENERATORS[kind]
@@ -218,6 +261,12 @@ def make_trace(
             f"unknown synthetic workload {kind!r}; "
             f"choose from {sorted(GENERATORS)}"
         ) from None
+    if not isinstance(ops_per_thread, int) or ops_per_thread < 1:
+        raise ConfigError(
+            f"synth {kind}: ops per thread must be >= 1, got {ops_per_thread!r}"
+        )
+    for name, value in knobs.items():
+        _check_knob(kind, name, value)
     try:
         return generator(random.Random(seed), ops_per_thread, **knobs)
     except TypeError as exc:

@@ -201,3 +201,32 @@ def test_replay_mode_suite_is_bit_identical_and_tagged(tmp_path, monkeypatch):
     for sim_row, replay_row in zip(sim["runs"], replay["runs"]):
         assert sim_row["instructions"] == replay_row["instructions"]
         assert sim_row["cycles"] == replay_row["cycles"]
+
+
+def test_replay_mode_repeats_are_cold(tmp_path, monkeypatch):
+    """Each replay repeat decodes fresh bytes, so preprocessing is timed on
+    every repeat instead of being served from the trace's memo."""
+    from repro.analysis.bench import run_bench_suite
+    import repro.analysis.bench as bench_mod
+    import repro.replay.kernel as kernel_mod
+    from repro.replay import TraceStore
+
+    orig_init = TraceStore.__init__
+
+    def store_init(self, root=None):
+        orig_init(self, root if root is not None else tmp_path)
+
+    monkeypatch.setattr(TraceStore, "__init__", store_init)
+    monkeypatch.setattr(bench_mod, "QUICK_SUITE", [("fib", "test")])
+    calls = []
+    orig_preprocess = kernel_mod._preprocess
+
+    def counting_preprocess(tr, bs):
+        calls.append(bs)
+        return orig_preprocess(tr, bs)
+
+    monkeypatch.setattr(kernel_mod, "_preprocess", counting_preprocess)
+    report = run_bench_suite(quick=True, mode="replay", repeats=2)
+    # one row per protocol (mesi, warden), two cold repeats each
+    assert len(report["runs"]) == 2
+    assert len(calls) == 4

@@ -22,6 +22,7 @@ from repro.bench import PAPER_ORDER
 from repro.cli import main
 from repro.common.config import dual_socket, single_socket
 from repro.common.errors import ConfigError
+from repro.hlpl.scheduler import BACKOFF_MAX
 from repro.replay import (
     Trace,
     TraceStore,
@@ -29,6 +30,7 @@ from repro.replay import (
     replay_trace,
 )
 from repro.replay.kernel import ReplayKernel
+from repro.replay.trace import K_FLUSH, K_SPIN, TRACE_MAGIC, TRACE_SCHEMA
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "stats_digests.json"
@@ -68,6 +70,102 @@ def test_replay_matches_golden_digest(cell, monkeypatch):
     assert stats_digest(fallback.stats) == expected, (
         f"pure-Python replay path diverges on {cell}"
     )
+
+
+# ----------------------------------------------------------------------
+# Closed-form idle spins (K_SPIN) and the epoch-batched recorder
+# ----------------------------------------------------------------------
+def _spins(trace):
+    return sum(1 for kind in trace.kind if kind == K_SPIN)
+
+
+@pytest.mark.parametrize("name", ["msort", "primes", "synth-ring"])
+@pytest.mark.parametrize("protocol", ["mesi", "warden", "moesi", "sisd"])
+def test_per_op_recording_is_the_closed_form_reference(
+    name, protocol, monkeypatch
+):
+    """A per-op recording spells every idle spin out as two accesses; the
+    default recording folds a sleeper's spins into one K_SPIN per wake.
+    Both replay to the same RunStats."""
+    batched, recorded = _record(name, protocol)
+    monkeypatch.setenv("REPRO_EPOCH_BATCH", "0")
+    per_op, per_op_recorded = _record(name, protocol)
+    assert _spins(batched) > 0
+    assert _spins(per_op) == 0
+    assert len(per_op) > len(batched)
+    assert per_op_recorded.stats.to_dict() == recorded.stats.to_dict()
+    for trace in (batched, per_op):
+        assert replay_trace(trace).stats.to_dict() == recorded.stats.to_dict()
+
+
+@pytest.mark.parametrize(
+    "name", ["msort", "primes", "synth-ring", "synth-falseshare"]
+)
+@pytest.mark.parametrize("protocol", ["mesi", "warden", "moesi", "sisd"])
+def test_smt_record_replay_identity(name, protocol):
+    """Under SMT a protocol core hosts two threads (and nobody sleeps):
+    fast-path hits must be attributed to the issuing thread."""
+    config = dual_socket().replace(threads_per_core=2)
+    trace, recorded = record_benchmark(name, protocol, config, size="test")
+    reference = run_benchmark(
+        name, protocol, config, size="test", use_cache=False,
+        use_disk_cache=False,
+    )
+    assert recorded.stats.to_dict() == reference.stats.to_dict()
+    assert replay_trace(trace).stats.to_dict() == reference.stats.to_dict()
+
+
+def test_spin_event_applies_closed_form():
+    """One K_SPIN of n spins: n * (2 * l1 + BACKOFF_MAX) cycles, 2n L1-hit
+    loads (n of them spin loads), ward * n WARD accesses."""
+    source, _ = _record("fib", "warden")
+    trace = Trace(meta=dict(source.meta, steals=[], final_thread=3))
+    trace.append(K_SPIN, 3, 0, 0, 2, 0, 7, 11, 5)  # ward=2, n=7
+    trace.append(K_FLUSH, 3, 0, 0, 0, 0, 0, 0, 13)
+    stats = replay_trace(trace).stats
+    l1 = dual_socket().l1.latency
+    assert stats.cycles == 11 + 5 + 7 * (2 * l1 + BACKOFF_MAX) + 13
+    assert stats.cores.loads == 14
+    assert stats.cores.spin_loads == 7
+    assert stats.cores.compute_instrs == 11
+    assert stats.cores.load_stall_cycles == 0
+    coh = stats.coherence
+    assert coh.total_accesses == coh.l1_accesses == 14
+    assert coh.ward_accesses == 14
+    assert coh.l2_accesses == coh.l3_accesses == 0
+
+
+def _with_schema(blob: bytes, schema: int) -> bytes:
+    """Rewrite a serialized trace's header to claim another schema."""
+    off = len(TRACE_MAGIC)
+    length = int.from_bytes(blob[off:off + 8], "little")
+    header = json.loads(blob[off + 8:off + 8 + length])
+    header["schema"] = schema
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return (
+        TRACE_MAGIC + len(text).to_bytes(8, "little") + text
+        + blob[off + 8 + length:]
+    )
+
+
+def test_schema_1_traces_are_refused(tmp_path):
+    """Schema-1 traces spell idle spins out per-op and know no K_SPIN:
+    the store misses on them and ``replay --trace`` exits 2."""
+    assert TRACE_SCHEMA == 2
+    fp = "d" * 64
+    trace, _ = _record("fib", "mesi", fingerprint=fp)
+    old = _with_schema(trace.to_bytes(), 1)
+    with pytest.raises(ValueError, match="schema 1"):
+        Trace.from_bytes(old)
+    store = TraceStore(tmp_path)
+    store.root.mkdir(parents=True, exist_ok=True)
+    store.path_for(fp).write_bytes(old)
+    assert store.load(fp) is None
+    path = tmp_path / "old.wtrace"
+    path.write_bytes(old)
+    assert main(["replay", "--trace", str(path)]) == 2
+    path.write_bytes(_with_schema(old, TRACE_SCHEMA))
+    assert main(["replay", "--trace", str(path)]) == 0
 
 
 def test_replay_full_stats_equality():

@@ -99,6 +99,40 @@ class TestIngestSynthCLI:
                      "--out", str(tmp_path / "x.trace")]) == 2
         assert "name=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,knob", [
+        ("falseshare", "slots_per_line=0"),     # was ZeroDivisionError
+        ("falseshare", "slots_per_line=128"),   # was size-0 accesses
+        ("phase", "phases=0"),                  # was ZeroDivisionError
+        ("rwmix", "keys=0"),                    # was ValueError
+        ("zipf", "threads=300"),                # was a trace ingest rejects
+        ("zipf", "threads=0"),
+        ("ring", "slots=0"),
+        ("phase", "window_lines=0"),
+        ("zipf", "read_frac=1.5"),
+        ("rwmix", "write_frac=-0.1"),
+        ("phase", "shared_frac=nan"),
+        ("zipf", "skew=1000"),                  # was OverflowError
+        ("ring", "threads=2.5"),
+    ])
+    def test_synth_out_of_range_knob_exits_2(self, kind, knob, tmp_path,
+                                             capsys):
+        out_path = tmp_path / "x.trace"
+        # in-process: any exception other than a ReproError would escape
+        # main() as a traceback instead of returning
+        assert main(["synth", kind, "--set", knob,
+                     "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"synth: error: synth {kind}: {knob.split('=')[0]}" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_synth_max_threads_ingests(self, tmp_path, capsys):
+        out_path = tmp_path / "wide.trace"
+        assert main(["synth", "zipf", "--ops", "2", "--set", "threads=256",
+                     "--out", str(out_path)]) == 0
+        assert main(["ingest", str(out_path)]) == 0
+        assert "threads   : 256" in capsys.readouterr().out
+
 
 # ----------------------------------------------------------------------
 # --workload plumbing on run / bench / verify
